@@ -31,13 +31,7 @@
    - "fast_novm": fastpath on, VM off — must be bit-identical to
                  "fast" (the compiled driver may only change time);
    - "nofast":   fastpath off, same grants — must be bit-identical to
-                 "fast", and the smoke fails loudly if it is not;
-   - "baseline": fastpath off with [lookahead = 0] and per-point
-                 [Gc.compact] — the seed's schedule and GC discipline
-                 exactly: every pay suspends through the heap. The
-                 fast/baseline wall-clock ratio is the speedup PR 1
-                 bought (conservative: the baseline still runs on the
-                 new heap, freelists and scratch arrays).
+                 "fast", and the smoke fails loudly if it is not.
 
    Parallel pass ("sweep_scaling"): the same quick sweep through a
    [Simcore.Domain_pool] at jobs=1 and jobs=N — must also be
@@ -198,7 +192,8 @@ let robust_sweep () =
     let steps =
       List.fold_left (fun a (p : Measure.point) -> a + p.steps) 0 pts
     in
-    { wall; steps; fp = fingerprint pts; vm = true; pts }
+    (* Figure R's ops are closures: it runs on the fiber driver. *)
+    { wall; steps; fp = fingerprint pts; vm = false; pts }
   in
   let r1 = one () and r2 = one () and r3 = one () in
   divergence ~what:"robust slice not deterministic across repeats (1 vs 2)" r1
@@ -272,8 +267,8 @@ let service_pass () =
   append_row ~bench:"service_quick"
     [
       J.str "pass" "service";
-      J.str "vm"
-        (if (Config.with_vm Config.default).Config.vm then "on" else "off");
+      (* Request handling is closure code: the fiber driver runs it. *)
+      J.str "vm" "off";
       J.float "wall_s" wall;
       J.int "cells" (List.length reports);
       J.int "completed" completed;
@@ -328,19 +323,9 @@ let () =
       ~what:
         "simulated results (or telemetry) differ with elision on vs off"
       fast nofast;
-    let baseline_config =
-      (* the seed's configuration exactly: closure interpreter, no
-         run-ahead window, per-point compaction *)
-      { Config.default with Config.lookahead = 0; Config.vm = false }
-    in
-    Measure.set_compact_per_point true;
-    let baseline = sweep3 ~fastpath:false ~config:baseline_config () in
-    Measure.set_compact_per_point false;
-    append_pass ~pass:"baseline" baseline;
     append_row
       [
         "\"pass\": \"speedup\"";
-        Printf.sprintf "\"fast_vs_baseline\": %.2f" (baseline.wall /. fast.wall);
         Printf.sprintf "\"fast_vs_nofast\": %.2f" (nofast.wall /. fast.wall);
       ]
   end;

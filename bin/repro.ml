@@ -109,11 +109,14 @@ let race_arg =
 
 let no_vm_arg =
   let doc =
-    "Run workload inner loops through the closure interpreter instead of \
-     the compiled $(b,Simcore.Vm) instruction streams. Output is \
-     byte-identical either way (the closure path is the differential \
-     oracle); the flag exists for A/B timing and debugging. Also \
-     settable with $(b,REPRO_VM=0)."
+    "Run the Figure 6a-6c load/store op bodies through the closure \
+     interpreter instead of their compiled $(b,Simcore.Vm) instruction \
+     streams. Only those bodies have a compiled form; every other cell \
+     (6e-6h, Figure 7, Figure R, the serving benchmark) runs its closure \
+     ops on the fiber driver either way, since hosting a closure op in \
+     the VM costs more than it saves. Output is byte-identical either \
+     way (the closure path is the differential oracle); the flag exists \
+     for A/B timing and debugging. Also settable with $(b,REPRO_VM=0)."
   in
   Arg.(value & flag & info [ "no-vm" ] ~doc)
 

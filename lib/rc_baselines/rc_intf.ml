@@ -116,6 +116,6 @@ module type S = sig
 
   val vm_ops : t -> vm_ops option
   (** Compiled forms of [load]/[store]/[destruct] for the {!Simcore.Vm}
-      fast path, or [None] when the scheme has no compiled form (the
-      drivers then run the closure operations from a host call). *)
+      fast path, or [None] when the scheme has no compiled form (its
+      cells then run the closure operations on the fiber driver). *)
 end

@@ -41,11 +41,11 @@ let with_race race config =
 
 let run ?fastpath ?tracer ?sanitize ?race ?config ?profiler ?(seed = 42) p =
   if p.workers < 1 then invalid_arg "Bench.run: workers must be >= 1";
-  (* As in Fig6: an explicit config wins; the default honours --no-vm. *)
+  (* An explicit config wins. *)
   let config =
     match config with
     | Some c -> c
-    | None -> Simcore.Config.with_alloc (Simcore.Config.with_vm base_config)
+    | None -> Simcore.Config.with_alloc base_config
   in
   let config = with_race race (with_sanitize sanitize config) in
   let reqs =
@@ -147,79 +147,14 @@ let run ?fastpath ?tracer ?sanitize ?race ?config ?profiler ?(seed = 42) p =
         serve pid (Proc.now ()) r.Loadgen.op)
       shards.(pid)
   in
-  (* The compiled request loop: one {!Simcore.Vm} program per worker
-     whose host call performs a single [Queueing.poll] step, with the
-     loop control and the idle pay as flat instructions, run as a flat
-     coroutine (see [Sim.run]'s [coroutine]). Bit-identical to
-     [open_loop]: the poll/serve sequence is unchanged and [PAYR] of
-     a non-positive register is a no-op (the Serve/Done cases pay
-     nothing). *)
-  let open_loop_vm pid =
-    let inbox =
-      Queueing.create ~cap:p.queue_cap
-        ~arr:(fun r -> r.Loadgen.arr)
-        ~on_admit:(fun d ->
-          Tele.set_gauge depth_g d;
-          Tele.add_gauge inflight 1)
-        ~on_serve:(fun d -> Tele.set_gauge depth_g d)
-        ~on_shed:(fun _ -> Tele.incr shed_c)
-        shards.(pid)
-    in
-    let module Vm = Simcore.Vm in
-    let a = Vm.Asm.create () in
-    let r_done = Vm.Asm.reg a and r_pay = Vm.Asm.reg a in
-    let loop = Vm.Asm.label a and halt = Vm.Asm.label a in
-    (* Idle attribution across the VM boundary: the idle pay is the
-       PAYR instruction after this host call, so the Idle phase is
-       entered before returning to the stream and left on the next
-       poll. A pay-elision yield inside PAYR cannot re-run the host
-       call, so enter/exit stay balanced. *)
-    let idling = ref false in
-    Vm.Asm.place a loop;
-    Vm.Asm.host a (fun fr ->
-        if !idling then begin
-          Prof.exit ();
-          idling := false
-        end;
-        let now = Proc.now () in
-        match Queueing.poll inbox ~now with
-        | Queueing.Done -> fr.Vm.regs.(r_done) <- 1
-        | Queueing.Idle_until t ->
-            Prof.enter Prof.Idle;
-            idling := true;
-            fr.Vm.regs.(r_done) <- 0;
-            fr.Vm.regs.(r_pay) <- max 1 (t - now)
-        | Queueing.Serve r ->
-            serve pid r.Loadgen.arr r.Loadgen.op;
-            fr.Vm.regs.(r_done) <- 0;
-            fr.Vm.regs.(r_pay) <- 0);
-    Vm.Asm.bnei a r_done 0 halt;
-    Vm.Asm.payr a r_pay;
-    Vm.Asm.jmp a loop;
-    Vm.Asm.place a halt;
-    Vm.Asm.halt a;
-    let prog = Vm.Asm.assemble a in
-    let fr =
-      Vm.frame prog ~mem ~rng:(Proc.rng ())
-        ~cells:(Array.make prog.Vm.n_cells 0)
-    in
-    Vm.coroutine prog fr
+  let body =
+    match p.arrival with
+    | Loadgen.Closed { think } -> closed_loop ~think
+    | _ -> open_loop
   in
-  let closed = match p.arrival with Loadgen.Closed _ -> true | _ -> false in
   let res =
-    if (not closed) && config.Simcore.Config.vm then
-      Sim.run ~policy:Sim.Fair ~seed ?fastpath ?tracer ?profiler ~config
-        ~procs:p.workers
-        ~coroutine:(fun pid -> Some (open_loop_vm pid))
-        (fun _ -> assert false)
-    else
-      let body =
-        match p.arrival with
-        | Loadgen.Closed { think } -> closed_loop ~think
-        | _ -> open_loop
-      in
-      Sim.run ~policy:Sim.Fair ~seed ?fastpath ?tracer ?profiler ~config
-        ~procs:p.workers body
+    Sim.run ~policy:Sim.Fair ~seed ?fastpath ?tracer ?profiler ~config
+      ~procs:p.workers body
   in
   (match res.Sim.faults with
   | [] -> ()

@@ -361,6 +361,14 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
               Queue.iter (fun q -> if q <> p then Queue.push q core.runq) tmp)
       | Uniform | Chaos _ -> ()
   in
+  (* Mirror [pay_env] for ticks the adversary adds outside a pay: they
+     land on [p]'s current phase slot, preserving the profiler's
+     conservation invariant. *)
+  let charge_phase p n =
+    match envs.(p).Proc.prof with
+    | Some pr -> pr.pcounts.(pr.pcur) <- pr.pcounts.(pr.pcur) + n
+    | None -> ()
+  in
   let adv_revive p =
     if states.(p) <> Finished then
       match policy with
@@ -374,9 +382,13 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
              stale frozen clock — idling accrues no entitlement. A core
              still in the ring keeps its key (its clock is never below
              the minimum), so the lift applies exactly to revived-idle
-             cores. *)
+             cores. The lifted ticks are charged to the revived pid's
+             phase slot, like [adv_charge]'s. *)
           let m = Pqueue.Core_ring.min_key core_pq in
-          if m <> max_int && core.clock < m then core.clock <- m;
+          if m <> max_int && core.clock < m then begin
+            charge_phase p (m - core.clock);
+            core.clock <- m
+          end;
           requeue_core c
       | Uniform | Chaos _ -> ()
   in
@@ -388,11 +400,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
         let core = cores.(core_of.(p)) in
         core.clock <- core.clock + n
     | Uniform | Chaos _ -> pclocks.(p) <- pclocks.(p) + n);
-    (* Mirror [pay_env]: the ticks also land on the victim's current
-       phase slot, preserving the profiler's conservation invariant. *)
-    match envs.(p).Proc.prof with
-    | Some pr -> pr.pcounts.(pr.pcur) <- pr.pcounts.(pr.pcur) + n
-    | None -> ()
+    charge_phase p n
   in
   (* Preallocated scratch for [pick_random]: the previous per-step list
      and array builds were O(P) allocation per instruction. Filled in

@@ -93,13 +93,13 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
      above, which stays as the closure form (and oracle, [test_vm]).
      Allocation stays a host call. Schemes without compiled ops, and any
      sanitized run (slot-protection bookkeeping lives in the closure
-     path), instead run [op] behind a host call in the compiled driver
-     loop. *)
-  let vm_body =
+     path), run [op] on the fiber driver. *)
+  let vm =
     match R.vm_ops t with
     | Some vops when Simcore.Sanitizer.is_off config.Simcore.Config.sanitize ->
         Some
-          (fun a ~pid ->
+          ( mem,
+            fun a ~pid ->
             let module A = Simcore.Vm.Asm in
             let h = handles.(pid) in
             let t_locs = A.table a locs in
@@ -125,12 +125,12 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
             A.addi a r_f r_p vops.Rc_intf.vm_header;
             A.read a r_d r_f;
             vops.Rc_intf.vm_destruct a ~pid ~ptr:r_w;
-            A.place a done_)
+            A.place a done_ )
     | Some _ | None -> None
   in
   let pt =
     Measure.run_point ?policy ?fastpath ?tracer ?profiler
-      ~telemetry:(M.telemetry mem) ~vm:(mem, vm_body) ~config ~seed ~threads
+      ~telemetry:(M.telemetry mem) ?vm ~config ~seed ~threads
       ~horizon ~op
       ~sample:(fun () -> M.live_with_tag mem "obj")
       ()
@@ -193,8 +193,7 @@ let stack_point ?tracer ?sanitize ?race ?(profile = false)
   let module S = Cds.Stack.Make (R) in
   let config =
     with_race race
-      (with_sanitize sanitize
-         (Simcore.Config.with_alloc (Simcore.Config.with_vm bench_config)))
+      (with_sanitize sanitize (Simcore.Config.with_alloc bench_config))
   in
   let mem = M.create config in
   let t = S.create mem ~procs:threads ~stacks:n_stacks in
@@ -216,10 +215,8 @@ let stack_point ?tracer ?sanitize ?race ?(profile = false)
     else ignore (S.find h ~stack:s (Rng.int rng (init_size + (init_size / 4) + 1)))
   in
   let pt =
-    (* Structure ops are deep closures; the compiled driver still runs
-       the loop flat with [op] as a host call. *)
-    Measure.run_point ?tracer ?profiler ~telemetry:(M.telemetry mem)
-      ~vm:(mem, None) ~config ~seed ~threads ~horizon ~op
+    Measure.run_point ?tracer ?profiler ~telemetry:(M.telemetry mem) ~config
+      ~seed ~threads ~horizon ~op
       ~sample:(fun () -> S.live_nodes t)
       ()
   in

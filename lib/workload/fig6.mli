@@ -70,6 +70,22 @@ val loadstore :
     [with_memory] additionally prints the Figure 6d allocated-objects
     table from the same runs. *)
 
+val stack_point :
+  ?tracer:Simcore.Trace.t ->
+  ?sanitize:Simcore.Sanitizer.mode ->
+  ?race:Simcore.Racecheck.mode ->
+  ?profile:bool ->
+  (module Rc_baselines.Rc_intf.S) ->
+  threads:int ->
+  horizon:int ->
+  seed:int ->
+  n_stacks:int ->
+  init_size:int ->
+  p_update:float ->
+  Measure.point
+(** One scheme at one thread count of the stack benchmark. Exposed for
+    the golden-digest regression test. *)
+
 val stack :
   ?pool:Simcore.Domain_pool.t ->
   ?tracer:Simcore.Trace.t ->

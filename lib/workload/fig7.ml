@@ -154,7 +154,7 @@ let factory structure scheme mem ~procs ~seed ~size =
 let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
     ~structure ~scheme ~threads ~horizon ~seed ~size ~update_pct () =
   let profiler = Fig6.cell_profiler ~profile scheme in
-  let base = Simcore.Config.with_alloc (Simcore.Config.with_vm bench_config) in
+  let base = Simcore.Config.with_alloc bench_config in
   let config =
     match sanitize with
     | None -> base
@@ -179,11 +179,9 @@ let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
     else ignore (inst.i_contains pid k)
   in
   let pt =
-    (* Structure ops stay closures behind a host call; the driver loop
-       itself runs compiled (see Measure.run_point's [vm]). *)
     Measure.run_point ?policy ?fastpath ?tracer ?profiler
-      ~telemetry:(M.telemetry mem) ~vm:(mem, None) ~config ~seed ~threads
-      ~horizon ~op ~sample:inst.i_extra ()
+      ~telemetry:(M.telemetry mem) ~config ~seed ~threads ~horizon ~op
+      ~sample:inst.i_extra ()
   in
   Fig6.assert_conservation scheme profiler;
   inst.i_flush ();

@@ -153,10 +153,9 @@ let fault_spec fault ~pinned ~threads ~horizon ~seed =
 (* One (scheme, fault) cell. Returns the point plus the sampled
    unreclaimed-memory series [(sample index, extra nodes)]. *)
 let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
-    ?(vm = true) ~scheme ~fault ~threads ~horizon ~seed ~size ~update_pct () =
+    ~scheme ~fault ~threads ~horizon ~seed ~size ~update_pct () =
   let profiler = Fig6.cell_profiler ~profile scheme in
   let base = Simcore.Config.with_alloc Simcore.Config.default in
-  let base = if vm then Simcore.Config.with_vm base else base in
   (* The protection auditor doubles as the adversary's pin oracle
      ([only_pinned] stalls trigger on {!San.pid_shielded}), so protocol
      mode is always on here — it is zero-perturbation (tables are
@@ -211,12 +210,11 @@ let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
   in
   let pt =
     (* Ambient adversary so DEBRA+'s neutralizations are counted on
-       [adv.signals]; structure ops stay closures behind a host call
-       while the driver loop runs compiled, exactly like Figure 7. *)
+       [adv.signals]. *)
     Adv.with_ambient adv @@ fun () ->
     Measure.run_point ?policy ?fastpath ?tracer ?profiler
-      ~telemetry:(M.telemetry mem) ~adversary:adv ~vm:(mem, None) ~config
-      ~seed ~threads ~horizon ~op ~sample ()
+      ~telemetry:(M.telemetry mem) ~adversary:adv ~config ~seed ~threads
+      ~horizon ~op ~sample ()
   in
   Fig6.assert_conservation scheme profiler;
   (* A faulted run can end with a victim parked inside its critical

@@ -9,8 +9,8 @@
     a stalled pinned reader makes plain epoch schemes' garbage grow
     without bound, while DEBRA+ (neutralization), HP and the paper's DRC
     stay bounded — the robustness the paper buys with acquire-retire.
-    Deterministic and byte-identical across [--jobs], fastpath on/off
-    and the compiled/closure drivers. *)
+    Deterministic and byte-identical across [--jobs] and fastpath
+    on/off. *)
 
 val scheme_names : string list
 
@@ -27,7 +27,6 @@ val point :
   ?sanitize:Simcore.Sanitizer.mode ->
   ?race:Simcore.Racecheck.mode ->
   ?profile:bool ->
-  ?vm:bool ->
   scheme:string ->
   fault:fault ->
   threads:int ->
@@ -40,9 +39,8 @@ val point :
 (** One (scheme, fault) cell: the measured point plus the pid-0 sampled
     unreclaimed-memory series [(sample index, extra nodes)]. Exposed for
     the faulted determinism regressions, the divergence test and the
-    race-freedom audit. [vm] (default true) selects the compiled driver
-    loop; points are bit-identical either way, faulted or not — the
-    regression suite pins all four [vm] × [fastpath] combinations. The cell always runs with the sanitizer's
+    race-freedom audit. Points are bit-identical across [fastpath]
+    modes, faulted or not. The cell always runs with the sanitizer's
     protocol auditor on — it is the adversary's pin oracle and is
     zero-perturbation. DEBRA+ cells register the
     {!Simcore.Proc.on_signal} handler and catch

@@ -18,29 +18,19 @@ type point = {
 (* Each point churns transient scheduler state; the seed version ran
    [Gc.compact] after every point, which dominated quick sweeps. A
    periodic full major keeps long sweeps within RAM at a fraction of the
-   cost; MEASURE_COMPACT=1 restores per-point compaction. Points may run
-   on any {!Simcore.Domain_pool} worker domain, so the pacing counter is
-   domain-local state, not a shared ref, and the compaction override is
-   an atomic (written only between sweeps, read per point). *)
+   cost. Points may run on any {!Simcore.Domain_pool} worker domain, so
+   the pacing counter is domain-local state, not a shared ref. *)
 let gc_major_every = 8
 
 let points_since_major : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0) (* lint: allow-atomic *)
 
-let compact_every_point =
-  Atomic.make (Sys.getenv_opt "MEASURE_COMPACT" = Some "1") (* lint: allow-atomic *)
-
-let set_compact_per_point b = Atomic.set compact_every_point b (* lint: allow-atomic *)
-
 let after_point_gc () =
-  if Atomic.get compact_every_point then Gc.compact () (* lint: allow-atomic *)
-  else begin
-    let n = Domain.DLS.get points_since_major + 1 in (* lint: allow-atomic *)
-    if n >= gc_major_every then begin
-      Domain.DLS.set points_since_major 0; (* lint: allow-atomic *)
-      Gc.full_major ()
-    end
-    else Domain.DLS.set points_since_major n (* lint: allow-atomic *)
+  let n = Domain.DLS.get points_since_major + 1 in (* lint: allow-atomic *)
+  if n >= gc_major_every then begin
+    Domain.DLS.set points_since_major 0; (* lint: allow-atomic *)
+    Gc.full_major ()
   end
+  else Domain.DLS.set points_since_major n (* lint: allow-atomic *)
 
 (* Driver cell protocol (shared with the compiled driver below): cell 0
    counts completed operations, cell 1 is the next sampling deadline. *)
@@ -63,15 +53,12 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
   let res =
     match vm with
     | Some (mem, emit) when config.Simcore.Config.vm ->
-        (* Compiled driver: the whole benchmark loop — horizon check, op
-           body, op counting, sampling pacing — is assembled into a
-           {!Simcore.Vm} program per process and run as a flat coroutine
-           (see [Sim.run]'s [coroutine]): scheduling points return to
-           the scheduler by plain call, with no fiber in between. The op
-           body is the caller's compiled form when it has one, else the
-           closure [op] behind a host call (the loop around it still
-           avoids re-entering the interpreter). Bit-identical to the
-           closure driver below either way. *)
+        (* Compiled driver: the whole benchmark loop — horizon check, the
+           caller's compiled op body, op counting, sampling pacing — is
+           assembled into a {!Simcore.Vm} program per process and run as
+           a flat coroutine (see [Sim.run]'s [coroutine]): scheduling
+           points return to the scheduler by plain call, with no fiber
+           in between. Bit-identical to the closure driver below. *)
         let coroutine pid =
           let a = Vm.Asm.create ~cells:2 () in
           let r_now = Vm.Asm.reg a in
@@ -79,9 +66,7 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
           Vm.Asm.place a loop;
           Vm.Asm.now a r_now;
           Vm.Asm.bgei a r_now horizon halt;
-          (match emit with
-          | Some e -> e a ~pid
-          | None -> Vm.Asm.host a (fun fr -> op pid fr.Vm.rng));
+          emit a ~pid;
           Vm.Asm.cellinc a ops_cell 1;
           (match sample with
           | Some f when pid = 0 ->

@@ -28,8 +28,7 @@ val run_point :
   ?profiler:Simcore.Profiler.t ->
   ?telemetry:Simcore.Telemetry.t ->
   ?adversary:Simcore.Adversary.t ->
-  ?vm:
-    Simcore.Memory.t * (Simcore.Vm.Asm.t -> pid:int -> unit) option ->
+  ?vm:Simcore.Memory.t * (Simcore.Vm.Asm.t -> pid:int -> unit) ->
   config:Simcore.Config.t ->
   threads:int ->
   horizon:int ->
@@ -51,13 +50,15 @@ val run_point :
     responsible for catching {!Simcore.Proc.Interrupted} if the point
     pairs the adversary with a neutralizing scheme.
 
-    [vm] opts the point into the compiled driver when [config.vm] is on:
-    the per-process benchmark loop is assembled into a {!Simcore.Vm}
-    program over the given heap and dispatched flat, with the second
-    component (when present) emitting the compiled op body in place of a
-    host call to [op]. Results are bit-identical across all four
-    combinations of [config.vm] and the emitter's presence — the closure
-    path is the oracle ([test_vm] pins this).
+    [vm] supplies the op's compiled form: a heap and an emitter that
+    assembles one [op] call into a {!Simcore.Vm} program. When given and
+    [config.vm] is on, the per-process benchmark loop around it is
+    compiled too and dispatched flat; otherwise — and for every caller
+    whose op is only an OCaml closure — the point runs on the fiber
+    driver, which is the oracle: results are bit-identical either way
+    ([test_vm] pins this). A closure op gains nothing from the VM (one
+    host call per op, each on a fresh fiber), so there is no hosted
+    form.
     [telemetry] (normally the heap's registry, {!Simcore.Memory.telemetry})
     is snapshotted into [counters] after the run.
 
@@ -75,17 +76,9 @@ val run_point :
     story.
 
     Between points the measurement layer runs a periodic [Gc.full_major]
-    (per-point [Gc.compact] was the dominant cost of quick sweeps; set
-    MEASURE_COMPACT=1 to restore it for memory-constrained full sweeps).
-    The pacing counter is per-domain ([Domain.DLS]), so each pool worker
+    (per-point [Gc.compact] was the dominant cost of quick sweeps). The
+    pacing counter is per-domain ([Domain.DLS]), so each pool worker
     paces its own GC. *)
-
-val set_compact_per_point : bool -> unit
-(** Override the between-points GC discipline at runtime (initialised
-    from MEASURE_COMPACT; stored in an [Atomic.t], so safe to read from
-    pool workers — set it only between sweeps). The perf smoke uses it
-    to time the seed's per-point [Gc.compact] behaviour in its baseline
-    pass. *)
 
 val default_threads : int list
 (** The sweep used by the figures: 1 … 192, crossing the paper's

@@ -17,6 +17,7 @@ let () =
       ("domain-pool", Test_domain_pool.suite);
       ("fastpath", Test_fastpath.suite);
       ("vm", Test_vm.suite);
+      ("golden", Test_golden.suite);
       ("lincheck", Test_lincheck.suite);
       ("trace", Test_trace.suite);
       ("profiler", Test_profiler.suite);

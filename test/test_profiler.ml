@@ -219,6 +219,20 @@ let test_zero_perturbation () =
         [ true; false ])
     policies
 
+(* The adversary moves clocks outside a pay too: a crash-restart revive
+   lifts an idle core to the ring minimum. Those ticks must land on a
+   phase slot like any other, or the cell's own conservation assertion
+   fails. Non-DRC schemes are the ones whose victim is revived idle. *)
+let test_revive_conserves () =
+  let run profile =
+    Workload.Fig_robust.point ~profile ~scheme:"EBR"
+      ~fault:Workload.Fig_robust.Crash_restart ~threads:8 ~horizon:24_000
+      ~seed:42 ~size:16 ~update_pct:50 ()
+  in
+  let on = run true in
+  Alcotest.(check bool) "crash-restart: profiled = unprofiled" true
+    (on = run false)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest conservation_test;
@@ -229,4 +243,6 @@ let suite =
       test_recorder_wrap;
     Alcotest.test_case "profiled = unprofiled (policies x fastpath x vm)"
       `Quick test_zero_perturbation;
+    Alcotest.test_case "crash-restart revive conserves" `Quick
+      test_revive_conserves;
   ]

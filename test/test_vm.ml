@@ -24,8 +24,8 @@ let point ~config ?fastpath policy m =
 
 (* Every scheme, every policy: compiled = closure, field for field
    (ops, steps, makespan, throughput, memory series, full telemetry
-   snapshot). Schemes without compiled ops still exercise the compiled
-   driver loop around a host call. *)
+   snapshot). Schemes without compiled ops run on the fiber driver
+   either way. *)
 let test_oracle_identity () =
   List.iter
     (fun (sname, m) ->
