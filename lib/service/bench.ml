@@ -55,6 +55,7 @@ let run ?fastpath ?tracer ?sanitize ?race ?config ?profiler ?(seed = 42) p =
   in
   let shards = Loadgen.shard reqs ~workers:p.workers in
   let mem = M.create config in
+  Fun.protect ~finally:(fun () -> M.release mem) @@ fun () ->
   let kv =
     Kv.create ~scheme:p.scheme mem ~procs:p.workers ~buckets:p.buckets
       ~keyspace:p.keyspace ~prefill:p.prefill ~seed

@@ -29,8 +29,8 @@ type t = {
   mutable lines : int array;
   mutable vers : int array;  (* bumped on every write *)
   (* Two-entry per-process "L1", direct-mapped on line parity. *)
-  l1_line : int array;
-  l1_ver : int array;
+  mutable l1_line : int array;
+  mutable l1_ver : int array;
   (* Cost scalars, denormalized out of the config record. *)
   c_l1 : int;
   c_hit : int;
@@ -68,23 +68,13 @@ let grow_array a ~needed ~fill =
   Array.blit a 0 b 0 n;
   b
 
-let create cost =
+(* An empty heap over [s]'s storage, priced by [cost]. *)
+let with_cost cost s =
   {
-    words = Array.make (1 lsl 12) 0;
-    block_id = Array.make (1 lsl 12) 0;
+    s with
     (* Skip the first line so that address 0 is never valid. *)
     top = line_words;
     n_blocks = 1;
-    b_base = Array.make 256 0;
-    b_size = Array.make 256 0;
-    b_live = Array.make 256 0;
-    b_freed_by = Array.make 256 (-1);
-    b_next = Array.make 256 0;
-    b_tag = Array.make 256 "";
-    lines = Array.make 1024 0;
-    vers = Array.make 1024 0;
-    l1_line = Array.make (2 * max_pids) (-1);
-    l1_ver = Array.make (2 * max_pids) (-1);
     c_l1 = cost.Config.c_l1;
     c_hit = cost.Config.c_hit;
     c_read_miss = cost.Config.c_read_miss;
@@ -95,6 +85,37 @@ let create cost =
     c_free = cost.Config.c_free;
     san_on = false;
   }
+
+(* Fresh storage: every array at its initial length and canonical
+   contents. {!scrub} restores exactly these contents, so recycled
+   storage reads the same index by index (only longer). *)
+let create cost =
+  with_cost cost
+    {
+      words = Array.make (1 lsl 12) 0;
+      block_id = Array.make (1 lsl 12) 0;
+      top = 0;
+      n_blocks = 0;
+      b_base = Array.make 256 0;
+      b_size = Array.make 256 0;
+      b_live = Array.make 256 0;
+      b_freed_by = Array.make 256 (-1);
+      b_next = Array.make 256 0;
+      b_tag = Array.make 256 "";
+      lines = Array.make 1024 0;
+      vers = Array.make 1024 0;
+      l1_line = Array.make (2 * max_pids) (-1);
+      l1_ver = Array.make (2 * max_pids) (-1);
+      c_l1 = 0;
+      c_hit = 0;
+      c_read_miss = 0;
+      c_rmw_owned = 0;
+      c_rmw_transfer = 0;
+      c_dwcas_extra = 0;
+      c_alloc = 0;
+      c_free = 0;
+      san_on = false;
+    }
 
 let ensure_words t needed =
   if needed > Array.length t.words then begin
@@ -195,3 +216,64 @@ let cost_write t ~pid ~addr =
   t.vers.(line) <- t.vers.(line) + 1;
   remember t pid line;
   if owned then t.c_rmw_owned else t.c_rmw_transfer
+
+(* {1 Storage reuse}
+
+   A cell's heap grows its arrays by doubling from a few thousand words;
+   building and re-growing them per cell was most of a large cell's host
+   allocation and drove the major collections of a sweep. Each domain
+   keeps one spare set instead: {!release} scrubs the prefix a heap
+   touched back to {!create}'s contents and parks the arrays here, and
+   {!acquire} hands them to the domain's next heap. Domain-local, so
+   pool workers never share storage. *)
+
+let spare : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None) (* lint: allow-atomic *)
+
+let acquire cost =
+  match Domain.DLS.get spare with (* lint: allow-atomic *)
+  | Some s ->
+      Domain.DLS.set spare None; (* lint: allow-atomic *)
+      with_cost cost s
+  | None -> create cost
+
+(* Below [top] lie every word and block-id a heap wrote and, as long as
+   every charged access is inside [1, top) or on the null line 0 (the
+   {!Memory} and {!Vm} entry points guarantee it), every line it
+   touched; below [n_blocks], every block slot. *)
+let scrub t =
+  Array.fill t.words 0 t.top 0;
+  Array.fill t.block_id 0 t.top 0;
+  let n = t.n_blocks in
+  Array.fill t.b_base 0 n 0;
+  Array.fill t.b_size 0 n 0;
+  Array.fill t.b_live 0 n 0;
+  Array.fill t.b_freed_by 0 n (-1);
+  Array.fill t.b_next 0 n 0;
+  Array.fill t.b_tag 0 n "";
+  let nl = min (Array.length t.lines) (line_of_addr (t.top - 1) + 1) in
+  Array.fill t.lines 0 nl 0;
+  Array.fill t.vers 0 nl 0;
+  Array.fill t.l1_line 0 (Array.length t.l1_line) (-1);
+  Array.fill t.l1_ver 0 (Array.length t.l1_ver) (-1)
+
+let release t =
+  if t.top > 0 then begin
+    scrub t;
+    Domain.DLS.set spare (Some { t with top = 0 }); (* lint: allow-atomic *)
+    (* Emptied, so a stale heap faults instead of reaching the next
+       cell's words. *)
+    t.top <- 0;
+    t.n_blocks <- 0;
+    t.words <- [||];
+    t.block_id <- [||];
+    t.b_base <- [||];
+    t.b_size <- [||];
+    t.b_live <- [||];
+    t.b_freed_by <- [||];
+    t.b_next <- [||];
+    t.b_tag <- [||];
+    t.lines <- [||];
+    t.vers <- [||];
+    t.l1_line <- [||];
+    t.l1_ver <- [||]
+  end

@@ -21,8 +21,8 @@ type t = {
   mutable b_tag : string array;
   mutable lines : int array;
   mutable vers : int array;
-  l1_line : int array;
-  l1_ver : int array;
+  mutable l1_line : int array;
+  mutable l1_ver : int array;
   c_l1 : int;
   c_hit : int;
   c_read_miss : int;
@@ -51,6 +51,21 @@ val grow_array : 'a array -> needed:int -> fill:'a -> 'a array
     heap. *)
 
 val create : Config.cost -> t
+(** An empty heap on freshly built storage. *)
+
+val acquire : Config.cost -> t
+(** Like {!create}, but takes the calling domain's spare storage (left
+    by {!release}) when there is one. Its arrays may be longer than
+    fresh ones; their contents read exactly like {!create}'s. *)
+
+val release : t -> unit
+(** Scrub the prefix [t] touched back to {!create}'s contents, make the
+    arrays the domain's spare, and empty [t]: [top] 0, every array
+    [[||]].
+    Sound only if every access charged to [t] was at an address in
+    [1 .. top - 1] or on line 0; {!Memory}'s and {!Vm}'s entry points
+    ensure it.
+    Idempotent. *)
 
 val create_like : t -> t
 (** A fresh, empty coherence domain sharing [t]'s cost scalars — the

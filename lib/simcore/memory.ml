@@ -39,6 +39,14 @@ type usage = {
   live_words : int;
 }
 
+(* Per-tag bookkeeping: the live count and the [mem.alloc[tag]] /
+   [mem.free[tag]] counters, registered on the tag's first allocation. *)
+type tag_entry = {
+  mutable tag_live : int;
+  p_alloc : Telemetry.counter;
+  p_free : Telemetry.counter;
+}
+
 (* The words, block metadata and coherence state live in the flat
    {!Memcore} record (parallel int arrays) shared with the bytecode
    {!Vm}; this record layers allocation bookkeeping, freelists,
@@ -52,7 +60,13 @@ type t = {
      block metadata ([b_next]), so alloc and free never allocate or
      hash on the common path under either policy. *)
   al : Alloc.t;
-  tag_live : (string, int ref) Hashtbl.t;
+  tags : (string, tag_entry) Hashtbl.t;
+  (* One-entry cache in front of [tags], keyed by physical equality:
+     tags are constant strings, so a run of allocs/frees of one tag
+     skips the string hashing. Starts on a private sentinel that no
+     caller's tag can be. *)
+  mutable last_tag : string;
+  mutable last_entry : tag_entry;
   mutable allocated : int;
   mutable freed : int;
   mutable live : int;
@@ -66,7 +80,6 @@ type t = {
   c_alloc_fresh : Telemetry.counter;
   c_alloc_reuse : Telemetry.counter;
   c_free : Telemetry.counter;
-  tag_probes : (string, Telemetry.counter * Telemetry.counter) Hashtbl.t;
   (* Sanitizer: always present (no-op entry points when the mode is
      off); [shadows] parallels the block ids and is only
      maintained/indexed when [san_on]. [quarantine] holds
@@ -91,33 +104,43 @@ type t = {
    release time indicates the heap's own access checks were bypassed. *)
 let poison_word = 0xDEAD_F00D
 
+(* Fresh, so never physically equal to a caller's tag. *)
+let no_tag = String.make 1 '\000'
+
 let create config =
   let tele = Telemetry.create () in
   let san = Sanitizer.create config.Config.sanitize tele in
   let san_on = not (Sanitizer.is_off config.Config.sanitize) in
   let race = Racecheck.create config.Config.race tele in
   let race_on = not (Racecheck.is_off config.Config.race) in
-  let h = Memcore.create config.Config.cost in
+  let h = Memcore.acquire config.Config.cost in
   h.Memcore.san_on <- san_on || race_on;
+  let g_live = Telemetry.gauge tele "mem.live_blocks" in
+  let g_live_words = Telemetry.gauge tele "mem.live_words" in
+  let c_alloc_fresh = Telemetry.counter tele "mem.alloc.fresh" in
+  let c_alloc_reuse = Telemetry.counter tele "mem.alloc.reuse" in
+  let c_free = Telemetry.counter tele "mem.free" in
   {
     config;
     h;
     al =
       Alloc.create ~policy:config.Config.alloc
         ~contended:config.Config.alloc_contention h tele;
-    tag_live = Hashtbl.create 16;
+    tags = Hashtbl.create 16;
+    last_tag = no_tag;
+    (* A placeholder, never returned: no tag is [==] to [no_tag]. *)
+    last_entry = { tag_live = 0; p_alloc = c_free; p_free = c_free };
     allocated = 0;
     freed = 0;
     live = 0;
     peak_live = 0;
     live_words = 0;
     tele;
-    g_live = Telemetry.gauge tele "mem.live_blocks";
-    g_live_words = Telemetry.gauge tele "mem.live_words";
-    c_alloc_fresh = Telemetry.counter tele "mem.alloc.fresh";
-    c_alloc_reuse = Telemetry.counter tele "mem.alloc.reuse";
-    c_free = Telemetry.counter tele "mem.free";
-    tag_probes = Hashtbl.create 16;
+    g_live;
+    g_live_words;
+    c_alloc_fresh;
+    c_alloc_reuse;
+    c_free;
     san;
     san_on;
     shadows = (if san_on then Array.make 256 (Sanitizer.fresh_shadow ()) else [||]);
@@ -137,24 +160,29 @@ let recorder t = t.recorder
 
 let hot t = t.h
 
-let tag_probe t tag =
-  match Hashtbl.find_opt t.tag_probes tag with
-  | Some p -> p
-  | None ->
-      let p =
-        ( Telemetry.counter t.tele ("mem.alloc[" ^ tag ^ "]"),
-          Telemetry.counter t.tele ("mem.free[" ^ tag ^ "]") )
-      in
-      Hashtbl.add t.tag_probes tag p;
-      p
+let release t = Memcore.release t.h
 
-let tag_cell t tag =
-  match Hashtbl.find_opt t.tag_live tag with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.tag_live tag r;
-      r
+let tag_entry t tag =
+  if tag == t.last_tag then t.last_entry
+  else begin
+    let e =
+      match Hashtbl.find_opt t.tags tag with
+      | Some e -> e
+      | None ->
+          let e =
+            {
+              tag_live = 0;
+              p_alloc = Telemetry.counter t.tele ("mem.alloc[" ^ tag ^ "]");
+              p_free = Telemetry.counter t.tele ("mem.free[" ^ tag ^ "]");
+            }
+          in
+          Hashtbl.add t.tags tag e;
+          e
+    in
+    t.last_tag <- tag;
+    t.last_entry <- e;
+    e
+  end
 
 (* Raise a [Fault], first recording an ASan-style sanitizer report
    (header + block provenance + any caller-supplied detail lines) when
@@ -323,6 +351,7 @@ let shadow_slot t id =
 let alloc t ~tag ~size =
   assert (size > 0);
   let h = t.h in
+  if h.Memcore.top = 0 then mem_fault t Out_of_bounds ~addr:0 ~tag ();
   let pid = Proc.self () in
   (* Plan first (a pure peek of the path the acquisition will take,
      plus the modeled metadata-contention ticks, if any), then pay,
@@ -383,9 +412,10 @@ let alloc t ~tag ~size =
   t.live <- t.live + 1;
   t.live_words <- t.live_words + size;
   if t.live > t.peak_live then t.peak_live <- t.live;
-  incr (tag_cell t tag);
+  let te = tag_entry t tag in
+  te.tag_live <- te.tag_live + 1;
   Telemetry.incr (if bid <> 0 then t.c_alloc_reuse else t.c_alloc_fresh);
-  Telemetry.incr (fst (tag_probe t tag));
+  Telemetry.incr te.p_alloc;
   Telemetry.set_gauge t.g_live t.live;
   Telemetry.set_gauge t.g_live_words t.live_words;
   Recorder.count t.recorder tag base;
@@ -461,9 +491,10 @@ let free t a =
   t.freed <- t.freed + 1;
   t.live <- t.live - 1;
   t.live_words <- t.live_words - h.Memcore.b_size.(bid);
-  decr (tag_cell t tag);
+  let te = tag_entry t tag in
+  te.tag_live <- te.tag_live - 1;
   Telemetry.incr t.c_free;
-  Telemetry.incr (snd (tag_probe t tag));
+  Telemetry.incr te.p_free;
   Telemetry.set_gauge t.g_live t.live;
   Telemetry.set_gauge t.g_live_words t.live_words;
   if t.san_on then begin
@@ -496,6 +527,18 @@ let free t a =
    transition still happens (with pid [-1]) and the pay is skipped,
    exactly as before. *)
 
+(* The address an access at [a] is charged to: [a] itself inside the
+   heap, else 0, on the null line that no block occupies. A wild address
+   then pays a cold-line price and faults in validation (pay before
+   fault, as for any invalid access) instead of indexing the line arrays
+   out of range or growing them to cover it; and {!release} can scrub
+   lines only up to [top]. A released heap has no lines to charge and
+   faults at once. The guard stays out of {!Memcore}: the allocator's
+   private coherence domain charges lines beyond its own [top]. *)
+let null_line t a =
+  if t.h.Memcore.top = 0 then validate_addr t a;
+  0
+
 (* Profiling splits each access cost into the scheme-independent floor
    (an L1 read, an owned-line RMW) charged to the surrounding phase,
    and the cache-coherence penalty above it, demoted to the phase's
@@ -505,36 +548,39 @@ let free t a =
 
 let read t a =
   let h = t.h in
+  let ca = if a > 0 && a < h.Memcore.top then a else null_line t a in
   (match Proc.get_env () with
   | Some e ->
-      let c = Memcore.cost_read h ~pid:e.Proc.pid ~addr:a in
+      let c = Memcore.cost_read h ~pid:e.Proc.pid ~addr:ca in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_l1)
-  | None -> ignore (Memcore.cost_read h ~pid:(-1) ~addr:a));
+  | None -> ignore (Memcore.cost_read h ~pid:(-1) ~addr:ca));
   check_access t a;
   if t.race_on then race_read t a;
   h.Memcore.words.(a)
 
 let write t a v =
   let h = t.h in
+  let ca = if a > 0 && a < h.Memcore.top then a else null_line t a in
   (match Proc.get_env () with
   | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
+      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:ca in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
+  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:ca));
   check_access ~write:true t a;
   if t.race_on then race_write t a;
   h.Memcore.words.(a) <- v
 
 let cas t a ~expected ~desired =
   let h = t.h in
+  let ca = if a > 0 && a < h.Memcore.top then a else null_line t a in
   (match Proc.get_env () with
   | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
+      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:ca in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
+  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:ca));
   check_access ~write:true t a;
   if t.race_on then race_rmw t a;
   if h.Memcore.words.(a) = expected then begin
@@ -545,12 +591,13 @@ let cas t a ~expected ~desired =
 
 let faa t a d =
   let h = t.h in
+  let ca = if a > 0 && a < h.Memcore.top then a else null_line t a in
   (match Proc.get_env () with
   | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
+      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:ca in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
+  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:ca));
   check_access ~write:true t a;
   if t.race_on then race_rmw t a;
   let old = h.Memcore.words.(a) in
@@ -559,12 +606,13 @@ let faa t a d =
 
 let fas t a v =
   let h = t.h in
+  let ca = if a > 0 && a < h.Memcore.top then a else null_line t a in
   (match Proc.get_env () with
   | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
+      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:ca in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
+  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:ca));
   check_access ~write:true t a;
   if t.race_on then race_rmw t a;
   let old = h.Memcore.words.(a) in
@@ -573,15 +621,16 @@ let fas t a v =
 
 let cas2 t a ~e0 ~e1 ~d0 ~d1 =
   let h = t.h in
+  let ca = if a > 0 && a < h.Memcore.top then a else null_line t a in
   (match Proc.get_env () with
   | Some e ->
       let c =
-        Memcore.cost_write h ~pid:e.Proc.pid ~addr:a
+        Memcore.cost_write h ~pid:e.Proc.pid ~addr:ca
         + h.Memcore.c_dwcas_extra
       in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned - h.Memcore.c_dwcas_extra)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
+  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:ca));
   check_access ~write:true t a;
   check_access ~write:true t (a + 1);
   if t.race_on then begin
@@ -630,7 +679,7 @@ let usage t =
   }
 
 let live_with_tag t tag =
-  match Hashtbl.find_opt t.tag_live tag with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.tags tag with Some e -> e.tag_live | None -> 0
 
 let iter_live t f =
   let h = t.h in

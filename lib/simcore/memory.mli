@@ -56,6 +56,18 @@ val fault_to_string : exn -> string
 (** [Format.asprintf "%a" pp_fault]. *)
 
 val create : Config.t -> t
+(** A fresh, empty heap. Its storage is the calling domain's spare, left
+    by {!release}, when there is one: any sequence of heaps in a domain
+    reuses one set of arrays, and only a larger heap grows them. *)
+
+val release : t -> unit
+(** End the heap's life: scrub the storage it touched back to
+    {!create}'s contents and keep it as the domain's spare. Any later
+    access, allocation or free of [t] raises a {!Fault} (its address
+    range is empty). Call it once nothing reads the heap any more,
+    typically in a [Fun.protect ~finally] around a benchmark cell;
+    repeated calls do nothing. Telemetry, the recorder and usage
+    counts stay readable. *)
 
 (** {1 Allocation} *)
 

@@ -657,6 +657,12 @@ let coroutine p fr =
     Memory.validate_addr mem a;
     assert false
   in
+  (* The line a memory opcode charges, exactly as {!Memory}'s entry
+     points choose it: an address outside [1, top) pays on the null
+     line 0 (then faults in [valid]); a released heap faults at once. *)
+  let vnull : int -> int =
+   fun a -> if hc.Memcore.top = 0 then vfail a else 0
+  in
   let hosted f =
     match Effect.Deep.match_with f () host_handler with
     | H_done -> ()
@@ -802,7 +808,8 @@ let coroutine p fr =
                    (coherence state already transitioned) and go
                    straight to the access — which, exactly like the
                    closure path, happens after the suspension. *)
-                let c = Memcore.cost_read hc ~pid ~addr:a in
+                let ca = if a > 0 && a < hc.Memcore.top then a else vnull a in
+                let c = Memcore.cost_read hc ~pid ~addr:ca in
                 vcharge c (c - hc.Memcore.c_l1);
                 if fast && c < e.Proc.budget then begin
                   e.Proc.budget <- e.Proc.budget - c;
@@ -845,7 +852,8 @@ let coroutine p fr =
                    (coherence state already transitioned) and go
                    straight to the access — which, exactly like the
                    closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
+                let ca = if a > 0 && a < hc.Memcore.top then a else vnull a in
+                let c = Memcore.cost_write hc ~pid ~addr:ca in
                 vcharge c (c - hc.Memcore.c_rmw_owned);
                 if fast && c < e.Proc.budget then begin
                   e.Proc.budget <- e.Proc.budget - c;
@@ -894,7 +902,8 @@ let coroutine p fr =
                    (coherence state already transitioned) and go
                    straight to the access — which, exactly like the
                    closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
+                let ca = if a > 0 && a < hc.Memcore.top then a else vnull a in
+                let c = Memcore.cost_write hc ~pid ~addr:ca in
                 vcharge c (c - hc.Memcore.c_rmw_owned);
                 if fast && c < e.Proc.budget then begin
                   e.Proc.budget <- e.Proc.budget - c;
@@ -942,7 +951,8 @@ let coroutine p fr =
                    (coherence state already transitioned) and go
                    straight to the access — which, exactly like the
                    closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
+                let ca = if a > 0 && a < hc.Memcore.top then a else vnull a in
+                let c = Memcore.cost_write hc ~pid ~addr:ca in
                 vcharge c (c - hc.Memcore.c_rmw_owned);
                 if fast && c < e.Proc.budget then begin
                   e.Proc.budget <- e.Proc.budget - c;
@@ -988,7 +998,8 @@ let coroutine p fr =
                    (coherence state already transitioned) and go
                    straight to the access — which, exactly like the
                    closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
+                let ca = if a > 0 && a < hc.Memcore.top then a else vnull a in
+                let c = Memcore.cost_write hc ~pid ~addr:ca in
                 vcharge c (c - hc.Memcore.c_rmw_owned);
                 if fast && c < e.Proc.budget then begin
                   e.Proc.budget <- e.Proc.budget - c;
@@ -1034,7 +1045,8 @@ let coroutine p fr =
                    (coherence state already transitioned) and go
                    straight to the access — which, exactly like the
                    closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
+                let ca = if a > 0 && a < hc.Memcore.top then a else vnull a in
+                let c = Memcore.cost_write hc ~pid ~addr:ca in
                 vcharge c (c - hc.Memcore.c_rmw_owned);
                 if fast && c < e.Proc.budget then begin
                   e.Proc.budget <- e.Proc.budget - c;
@@ -1083,7 +1095,10 @@ let coroutine p fr =
                    (coherence state already transitioned) and go
                    straight to the access — which, exactly like the
                    closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a + hc.Memcore.c_dwcas_extra in
+                let ca = if a > 0 && a < hc.Memcore.top then a else vnull a in
+                let c =
+                  Memcore.cost_write hc ~pid ~addr:ca + hc.Memcore.c_dwcas_extra
+                in
                 vcharge c (c - hc.Memcore.c_rmw_owned - hc.Memcore.c_dwcas_extra);
                 if fast && c < e.Proc.budget then begin
                   e.Proc.budget <- e.Proc.budget - c;

@@ -68,6 +68,7 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
   in
   let config = with_race race (with_sanitize sanitize config) in
   let mem = M.create config in
+  Fun.protect ~finally:(fun () -> M.release mem) @@ fun () ->
   let t = R.create mem ~procs:threads in
   let cls = R.register_class t ~tag:"obj" ~fields:1 ~ref_fields:[] in
   let h0 = R.handle t (-1) in
@@ -196,6 +197,7 @@ let stack_point ?tracer ?sanitize ?race ?(profile = false)
       (with_sanitize sanitize (Simcore.Config.with_alloc bench_config))
   in
   let mem = M.create config in
+  Fun.protect ~finally:(fun () -> M.release mem) @@ fun () ->
   let t = S.create mem ~procs:threads ~stacks:n_stacks in
   let h0 = S.handle t (-1) in
   for s = 0 to n_stacks - 1 do

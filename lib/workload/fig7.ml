@@ -166,6 +166,7 @@ let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
     | Some m -> { config with Simcore.Config.race = m }
   in
   let mem = M.create config in
+  Fun.protect ~finally:(fun () -> M.release mem) @@ fun () ->
   let inst = factory structure scheme mem ~procs:threads ~seed ~size in
   let key_range = 2 * size in
   let half = update_pct in

@@ -175,6 +175,7 @@ let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
     | Some m -> { config with Simcore.Config.race = m }
   in
   let mem = M.create config in
+  Fun.protect ~finally:(fun () -> M.release mem) @@ fun () ->
   let adv =
     Adv.create ~telemetry:(M.telemetry mem) ~procs:threads
       (fault_spec fault ~pinned:(scheme <> "DRC") ~threads ~horizon ~seed)

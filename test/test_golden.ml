@@ -41,14 +41,16 @@ let render_report (r : Service.Slo.report) =
 
 let digest s = Digest.to_hex (Digest.string s)
 
+let fig7_bst_hp ?(size = 32) () =
+  render_point
+    (Workload.Fig7.point ~structure:Workload.Fig7.Bst_set ~scheme:"HP"
+       ~threads:4 ~horizon:3_000 ~seed:42 ~size ~update_pct:50 ())
+
 (* (name, rendering of one small cell, expected digest). *)
 let cells =
   [
     ( "fig7 bst/HP",
-      (fun () ->
-        render_point
-          (Workload.Fig7.point ~structure:Workload.Fig7.Bst_set ~scheme:"HP"
-             ~threads:4 ~horizon:3_000 ~seed:42 ~size:32 ~update_pct:50 ())),
+      (fun () -> fig7_bst_hp ()),
       "30ce465ca50ab3f27d3570d8e1c213a0" );
     ( "fig6 stack/DRC",
       (fun () ->
@@ -91,9 +93,50 @@ let cells =
       "fd05fede264d01da2297fd40f1be0c35" );
   ]
 
+(* DRC with a [destruct] that drops its reference: every loaded object
+   leaks, so a load/store cell runs to the end and then raises. *)
+module Leaky = struct
+  include Rc_baselines.Drc_scheme.Plain
+
+  let destruct _ _ = ()
+
+  let vm_ops _ = None
+end
+
+(* Cells recycle their domain's heap storage ({!Simcore.Memory.release}):
+   a cell must read the same whether its domain's storage is fresh, left
+   by a larger cell, or left by a cell that raised mid-way. *)
+let test_recycled_cells () =
+  let fresh =
+    Domain.join (Domain.spawn (fun () -> fig7_bst_hp ())) (* lint: allow-atomic *)
+  in
+  ignore (fig7_bst_hp ~size:1024 ());
+  let m = Simcore.Memory.create Simcore.Config.small in
+  let spare_words = Array.length (Simcore.Memory.hot m).Simcore.Memcore.words in
+  Simcore.Memory.release m;
+  Alcotest.(check bool)
+    "larger cell left grown storage" true (spare_words > 1 lsl 12);
+  let after_larger = fig7_bst_hp () in
+  (match
+     Workload.Fig6.loadstore_point
+       (module Leaky)
+       ~threads:4 ~horizon:3_000 ~seed:42 ~n_locs:10 ~p_store:0.5
+   with
+  | _ -> Alcotest.fail "the leaky cell should raise"
+  | exception Failure _ -> ());
+  let after_raise = fig7_bst_hp () in
+  Alcotest.(check string) "after a larger cell" fresh after_larger;
+  Alcotest.(check string) "after a cell that raised" fresh after_raise;
+  Alcotest.(check string) "fresh digest" "30ce465ca50ab3f27d3570d8e1c213a0"
+    (digest fresh)
+
 let suite =
   List.map
     (fun (name, render, expected) ->
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.(check string) (name ^ " digest") expected (digest (render ()))))
     cells
+  @ [
+      Alcotest.test_case "recycled storage (fresh/larger/raised)" `Quick
+        test_recycled_cells;
+    ]

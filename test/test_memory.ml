@@ -92,6 +92,109 @@ let test_null_and_oob () =
   expect_fault Memory.Null_deref (fun () -> Memory.read m 0);
   expect_fault Memory.Out_of_bounds (fun () -> Memory.read m 1_000_000)
 
+(* Wild addresses pay on the null line and then fault by name: no host
+   exception from a negative line index, no line array grown to cover
+   the address (let alone one of 2^37 entries). *)
+let test_wild_addresses () =
+  let m = fresh () in
+  let lines () = Array.length (Memory.hot m).Memcore.lines in
+  let n = lines () in
+  expect_fault Memory.Null_deref (fun () -> Memory.read m (-9));
+  expect_fault Memory.Null_deref (fun () -> Memory.write m (-9) 1);
+  expect_fault Memory.Out_of_bounds (fun () ->
+      Memory.cas m (1 lsl 40) ~expected:0 ~desired:1);
+  expect_fault Memory.Out_of_bounds (fun () -> Memory.read m (1 lsl 20));
+  Alcotest.(check int) "line array not grown" n (lines ())
+
+(* Scalar and array fields of the hot record, for comparing heaps. *)
+let int_arrays (h : Memcore.t) =
+  Memcore.
+    [
+      ("words", h.words, 0);
+      ("block_id", h.block_id, 0);
+      ("b_base", h.b_base, 0);
+      ("b_size", h.b_size, 0);
+      ("b_live", h.b_live, 0);
+      ("b_freed_by", h.b_freed_by, -1);
+      ("b_next", h.b_next, 0);
+      ("lines", h.lines, 0);
+      ("vers", h.vers, 0);
+      ("l1_line", h.l1_line, -1);
+      ("l1_ver", h.l1_ver, -1);
+    ]
+
+(* A released heap's storage, taken by the domain's next heap, reads
+   exactly like fresh storage over the fresh lengths and holds the
+   defaults beyond them. The first heap grows every array past its
+   initial length, reuses a block (bumping its line versions) and takes
+   a faulting access. *)
+let test_recycled_storage_canonical () =
+  let m = fresh () in
+  let blocks =
+    List.init 600 (fun i -> Memory.alloc m ~tag:"big" ~size:(1 + (i mod 20)))
+  in
+  List.iteri
+    (fun i a ->
+      Memory.write m a (i + 1);
+      ignore (Memory.faa m a 1))
+    blocks;
+  List.iteri
+    (fun i a -> if i mod 3 = 0 then Memory.free m a (* lint: allow-free *))
+    blocks;
+  let b = Memory.alloc m ~tag:"again" ~size:1 in
+  Memory.write m b 7;
+  expect_fault Memory.Out_of_bounds (fun () -> Memory.read m (1 lsl 20));
+  let grown = Array.length (Memory.hot m).Memcore.words in
+  Memory.release m;
+  let r = Memory.create Config.small in
+  let f = Memcore.create Config.small.Config.cost in
+  let h = Memory.hot r in
+  Alcotest.(check bool) "storage reused" true
+    (Array.length h.Memcore.words >= grown
+    && grown > Array.length f.Memcore.words);
+  Alcotest.(check int) "top" f.Memcore.top h.Memcore.top;
+  Alcotest.(check int) "n_blocks" f.Memcore.n_blocks h.Memcore.n_blocks;
+  List.iter2
+    (fun (name, fresh_a, _) (_, a, default) ->
+      let n = Array.length fresh_a in
+      Alcotest.(check bool)
+        (name ^ " at least fresh length") true (Array.length a >= n);
+      Alcotest.(check (array int))
+        (name ^ " = fresh") fresh_a (Array.sub a 0 n);
+      Array.iteri
+        (fun i v ->
+          if i >= n && v <> default then
+            Alcotest.failf "%s.(%d) = %d" name i v)
+        a)
+    (int_arrays f) (int_arrays h);
+  Alcotest.(check bool) "b_tag canonical" true
+    (Array.for_all (fun s -> s = "") h.Memcore.b_tag);
+  Memory.release r
+
+(* A released heap is empty: every access, allocation or free faults by
+   name, whatever the address. *)
+let test_released_heap_faults () =
+  let m = fresh () in
+  let a = Memory.alloc m ~tag:"t" ~size:2 in
+  Memory.write m a 5;
+  Memory.release m;
+  Memory.release m;
+  let oob f = expect_fault Memory.Out_of_bounds f in
+  oob (fun () -> Memory.read m a);
+  oob (fun () -> Memory.write m a 1);
+  oob (fun () -> Memory.cas m a ~expected:5 ~desired:6);
+  oob (fun () -> Memory.faa m a 1);
+  oob (fun () -> Memory.fas m a 1);
+  oob (fun () -> Memory.cas2 m a ~e0:5 ~e1:0 ~d0:1 ~d1:1);
+  oob (fun () -> Memory.peek m a);
+  oob (fun () -> Memory.alloc m ~tag:"t" ~size:1);
+  expect_fault Memory.Null_deref (fun () -> Memory.read m (-9));
+  expect_fault Memory.Not_a_block (fun () ->
+      Memory.free m a; (* lint: allow-free *)
+      0);
+  Alcotest.(check bool) "not live" false (Memory.block_is_live m a);
+  Alcotest.(check (option string)) "no tag" None (Memory.block_tag m a)
+
 let test_reuse () =
   let m = fresh () in
   let a = Memory.alloc m ~tag:"x" ~size:3 in
@@ -219,6 +322,11 @@ let suite =
     Alcotest.test_case "double-free" `Quick test_double_free;
     Alcotest.test_case "free non-base" `Quick test_free_non_base;
     Alcotest.test_case "null/oob" `Quick test_null_and_oob;
+    Alcotest.test_case "wild addresses fault by name" `Quick
+      test_wild_addresses;
+    Alcotest.test_case "recycled storage canonical" `Quick
+      test_recycled_storage_canonical;
+    Alcotest.test_case "released heap faults" `Quick test_released_heap_faults;
     Alcotest.test_case "address reuse" `Quick test_reuse;
     Alcotest.test_case "no-reuse mode" `Quick test_no_reuse_mode;
     Alcotest.test_case "size classes" `Quick test_reuse_size_class;

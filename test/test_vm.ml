@@ -119,11 +119,10 @@ let test_decode_rejects () =
    through the {!Memory} entry points — both must surface the same
    {!Memory.Fault} (same culprit address and process) out of
    [Sim.run], rendered by {!Memory.pp_fault}. *)
-let vm_fault ~sanitize =
+let vm_read_fault ~sanitize addr_of =
   let config = { Config.small with Config.sanitize; Config.vm = true } in
   let mem = Memory.create config in
-  let a0 = Memory.alloc mem ~tag:"victim" ~size:1 in
-  Memory.free mem a0 (* lint: allow-free *);
+  let a0 = addr_of mem in
   let coroutine _pid =
     let module A = Vm.Asm in
     let a = A.create () in
@@ -145,6 +144,12 @@ let vm_fault ~sanitize =
   match res.Sim.faults with
   | [ { Sim.pid; exn } ] -> (a0, pid, exn)
   | l -> Alcotest.failf "expected exactly one fault, got %d" (List.length l)
+
+let vm_fault ~sanitize =
+  vm_read_fault ~sanitize (fun mem ->
+      let a0 = Memory.alloc mem ~tag:"victim" ~size:1 in
+      Memory.free mem a0 (* lint: allow-free *);
+      a0)
 
 let check_fault name (a0, pid, exn) =
   Alcotest.(check int) (name ^ ": faulting pid") 0 pid;
@@ -168,6 +173,24 @@ let test_fault_routing () =
   check_fault "inline validation" (vm_fault ~sanitize:Sanitizer.off);
   check_fault "sanitized (shadow) path" (vm_fault ~sanitize:Sanitizer.default_on)
 
+(* A wild address is charged on the null line and then faults by name,
+   exactly as through {!Memory.read}: no host exception from a negative
+   line index, no line array grown to a huge address. *)
+let test_wild_read () =
+  List.iter
+    (fun (addr, kind) ->
+      let a0, pid, exn =
+        vm_read_fault ~sanitize:Sanitizer.off (fun _ -> addr)
+      in
+      check_fault (Printf.sprintf "READ %d" addr) (a0, pid, exn);
+      match exn with
+      | Memory.Fault { kind = k; _ } ->
+          Alcotest.(check string) "fault kind"
+            (Memory.fault_kind_to_string kind)
+            (Memory.fault_kind_to_string k)
+      | _ -> ())
+    [ (-9, Memory.Null_deref); (1 lsl 40, Memory.Out_of_bounds) ]
+
 let suite =
   [
     Alcotest.test_case "oracle identity (schemes x policies)" `Quick
@@ -178,4 +201,5 @@ let suite =
     Alcotest.test_case "decode rejects malformed" `Quick test_decode_rejects;
     Alcotest.test_case "fault routing (inline + sanitized)" `Quick
       test_fault_routing;
+    Alcotest.test_case "wild READ faults by name" `Quick test_wild_read;
   ]
